@@ -6,12 +6,12 @@
 //! cargo run --release -p reach-bench --bin exp_all -- --smoke --jobs 4
 //! ```
 //!
-//! Flags (shared with every `exp_*` binary): `--smoke` runs the CI-sized
-//! cell subset, `--jobs N` sizes the pool (0 = all cores), `--out-dir D`
-//! places the BENCH files (`--no-out` disables), `--only a,b` restricts
-//! to named experiments. A failing cell is recorded in its report and
-//! the rest of the suite keeps running; the exit code is non-zero if any
-//! cell failed or any experiment-level bound was violated.
+//! Flags: `--smoke` runs the CI-sized cell subset, `--jobs N` sizes the
+//! pool (0 = all cores), `--out-dir D` places the BENCH files
+//! (`--no-out` disables), `--only a,b` restricts to named experiments
+//! (`--only simperf` runs one). A failing cell is recorded in its report
+//! and the rest of the suite keeps running; the exit code is non-zero if
+//! any cell failed or any experiment-level bound was violated.
 
 fn main() {
     let all = reach_bench::experiments::all();

@@ -2,10 +2,10 @@
 //! across a scoped thread pool, contains per-cell failures, renders the
 //! human tables and writes one `BENCH_<experiment>.json` per experiment.
 //!
-//! Every `exp_*` binary funnels through [`single_main`]; `exp_all` runs
-//! the whole registry in-process through [`suite_main`] — one shared
-//! pool over *all* cells of *all* experiments, so a wide experiment
-//! cannot serialize the suite behind it.
+//! `exp_all` runs the registry (or the `--only` subset) in-process
+//! through [`suite_main`] — one shared pool over *all* cells of *all*
+//! selected experiments, so a wide experiment cannot serialize the suite
+//! behind it.
 //!
 //! Failure containment: a cell that panics (the pre-driver `exp_all`
 //! aborted the whole suite when one sibling binary failed to launch) is
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Driver configuration, shared by every experiment binary.
+/// Driver configuration: the `exp_all` command line.
 #[derive(Clone, Debug)]
 pub struct DriverOptions {
     /// Full matrix or CI smoke subset.
@@ -29,7 +29,7 @@ pub struct DriverOptions {
     pub jobs: usize,
     /// Where `BENCH_*.json` files land; `None` disables writing.
     pub out_dir: Option<PathBuf>,
-    /// Restrict `exp_all` to these experiment names (empty = all).
+    /// Restrict the run to these experiment names (empty = all).
     pub only: Vec<String>,
 }
 
@@ -45,7 +45,7 @@ impl Default for DriverOptions {
 }
 
 impl DriverOptions {
-    /// Parses the shared CLI surface:
+    /// Parses the CLI surface:
     /// `[--smoke] [--jobs N] [--out-dir DIR] [--no-out] [--only a,b]`.
     ///
     /// # Errors
@@ -299,18 +299,6 @@ pub fn run_and_emit(exps: &[&dyn Experiment], opts: &DriverOptions) -> i32 {
         opts.tier.as_str(),
     );
     i32::from(!clean)
-}
-
-/// `main` body for a single-experiment binary: parse CLI, run, emit.
-pub fn single_main(exp: &dyn Experiment) -> ! {
-    let opts = match DriverOptions::parse(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    std::process::exit(run_and_emit(&[exp], &opts));
 }
 
 /// `main` body for `exp_all`: parse CLI (honoring `--only`), run the

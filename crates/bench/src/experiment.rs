@@ -225,18 +225,8 @@ pub trait Experiment: Sync {
 /// keys: FNV-1a over `"<experiment>/<workload>/<config>"`, finalized
 /// with the SplitMix64 mixer so related keys land far apart.
 pub fn cell_seed(experiment: &str, cell: &Cell) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in experiment
-        .as_bytes()
-        .iter()
-        .chain(b"/")
-        .chain(cell.workload.as_bytes())
-        .chain(b"/")
-        .chain(cell.config.as_bytes())
-    {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let key = format!("{experiment}/{}/{}", cell.workload, cell.config);
+    let mut h = reach_sim::fnv1a(key.as_bytes());
     // SplitMix64 finalizer.
     h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -1,4 +1,4 @@
-//! The experiment registry: every `exp_*` harness as a library module.
+//! The experiment registry: every experiment as a library module.
 //!
 //! Each submodule implements [`crate::experiment::Experiment`] for one
 //! paper table/figure; [`all`] returns the full suite in EXPERIMENTS.md

@@ -12,12 +12,12 @@
 //!
 //! * `sim_insts` / `sim_cycles` — exact counters, deterministic, gated
 //!   byte-identical by `bench_diff` like every other experiment (they
-//!   double as a semantics canary for the fast-path interpreter);
-//! * `sim_ips` / `host_ns_per_inst` / `host_ms` — host wall-clock
-//!   measurements. These vary run to run and host to host, so CI diffs
-//!   them **report-only** (see the `--report-metric` flag of
-//!   `bench_diff`): the trajectory accumulates in the uploaded
-//!   `BENCH_simperf.json` artifacts without flaky gating.
+//!   double as a semantics canary for both interpreter tiers);
+//! * `sim_ips` / `step_ips` / `speedup_blocks` / `host_ns_per_inst` /
+//!   `host_ms` — host wall-clock measurements. These vary run to run and
+//!   host to host, so CI diffs them **report-only** (see the
+//!   `--report-metric` flag of `bench_diff`): the trajectory accumulates
+//!   in the uploaded `BENCH_simperf.json` artifacts without flaky gating.
 //!
 //! The workload mix exercises the interpreter's distinct regimes:
 //! dependent cold loads (pointer chase — the memory fast path), hash
@@ -26,21 +26,22 @@
 //! pointer chase — the last two are *dispatch-bound*: almost no time in
 //! the simulated memory system, so they measure dispatch mechanism.
 //!
-//! Every cell runs the superblock engine and the per-instruction fused
-//! fast path **interleaved A/B, best of pairs**: each repetition times
-//! both engines back to back, so host-frequency drift hits both equally.
-//! The engines must produce byte-identical counters and clocks (asserted
-//! every rep — a free differential canary on top of `prop_fastpath`);
-//! `sim_ips` reports the default (superblock) engine, `fastpath_ips` the
-//! blocks-off engine, and `speedup_blocks` their ratio. Block-cache
-//! stats (`blocks_compiled`, `block_hit_rate`, `block_invalidations`)
-//! ride along report-only.
+//! Every cell runs the superblock engine and the `Machine::step`
+//! reference **interleaved A/B, best of pairs**: each repetition times
+//! both tiers back to back, so host-frequency drift hits both equally.
+//! The reference is forced the way `prop_fastpath` forces it, with a
+//! passive one-entry trace attached. The tiers must produce
+//! byte-identical counters and clocks (asserted every rep — a free
+//! differential canary on top of `prop_fastpath`); `sim_ips` reports the
+//! superblock engine, `step_ips` the step tier, and `speedup_blocks`
+//! step time over blocks time. Block-cache stats (`blocks_compiled`,
+//! `block_hit_rate`, `block_invalidations`) ride along report-only.
 
 use crate::experiment::{Cell, CellMetrics, Experiment, Tier};
 use crate::fresh;
 use reach_baselines::run_sequential;
 use reach_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
-use reach_sim::{CacheLevelConfig, Context, Machine, MachineConfig};
+use reach_sim::{CacheLevelConfig, Context, Machine, MachineConfig, Trace};
 use reach_workloads::{
     build_chase, build_scan, build_zipf_kv, ChaseParams, ScanParams, ZipfKvParams,
 };
@@ -78,9 +79,10 @@ const MAX_STEPS: u64 = 1 << 26;
 const REPS: usize = 3;
 
 /// Builds the load-free ALU kernel: a counted loop of dependent 1-cycle
-/// ALU ops — the regime the fused Imm/Alu dispatch loop targets. Returns
-/// the machine and the host seconds spent *executing* (build excluded).
-fn run_alu_dense(blocks: bool) -> (Machine, f64) {
+/// ALU ops — the regime the superblock engine's static accounting and
+/// run-length folding target. Returns the machine and the host seconds
+/// spent *executing* (build excluded).
+fn run_alu_dense(reference: bool) -> (Machine, f64) {
     const ITERS: u64 = 200_000;
     let mut b = ProgramBuilder::new("alu_dense");
     let cnt = Reg(0);
@@ -97,7 +99,9 @@ fn run_alu_dense(blocks: bool) -> (Machine, f64) {
     b.halt();
     let prog = b.finish().expect("alu kernel is well-formed");
     let mut m = Machine::new(MachineConfig::default());
-    m.blocks_enabled = blocks;
+    if reference {
+        m.trace = Some(Trace::new(1));
+    }
     let mut ctx = Context::new(0);
     let started = Instant::now();
     let exit = m.run_to_completion(&prog, &mut ctx, MAX_STEPS).unwrap();
@@ -130,7 +134,7 @@ fn hot_config() -> MachineConfig {
 
 /// Runs one of the built workloads sequentially; the timer covers only
 /// the execution phase, not workload construction or checksum checks.
-fn run_workload(name: &str, blocks: bool) -> (Machine, f64) {
+fn run_workload(name: &str, reference: bool) -> (Machine, f64) {
     let cfg = if name == "chase-hot" {
         hot_config()
     } else {
@@ -204,7 +208,9 @@ fn run_workload(name: &str, blocks: bool) -> (Machine, f64) {
         ),
         other => panic!("unknown simperf workload {other:?}"),
     });
-    m.blocks_enabled = blocks;
+    if reference {
+        m.trace = Some(Trace::new(1));
+    }
     let mut ctxs = w.make_contexts();
     let started = Instant::now();
     run_sequential(&mut m, &w.prog, &mut ctxs, MAX_STEPS).unwrap();
@@ -228,8 +234,8 @@ impl Experiment for SimPerf {
     }
 
     fn notes(&self) -> &'static str {
-        "sim_insts/sim_cycles are deterministic and gated; sim_ips, \
-         host_ns_per_inst and host_ms are host measurements, diffed \
+        "sim_insts/sim_cycles are deterministic and gated; sim_ips, step_ips, \
+         speedup_blocks, host_ns_per_inst and host_ms are host measurements, diffed \
          report-only in CI."
     }
 
@@ -242,26 +248,26 @@ impl Experiment for SimPerf {
     }
 
     fn run_cell(&self, cell: &Cell, _seed: u64) -> CellMetrics {
-        let run_one = |blocks: bool| match cell.workload.as_str() {
-            "alu-dense" => run_alu_dense(blocks),
-            other => run_workload(other, blocks),
+        let run_one = |reference: bool| match cell.workload.as_str() {
+            "alu-dense" => run_alu_dense(reference),
+            other => run_workload(other, reference),
         };
         let mut insts = 0u64;
         let mut cycles = 0u64;
         let mut best_blocks = f64::INFINITY;
-        let mut best_fast = f64::INFINITY;
+        let mut best_step = f64::INFINITY;
         let mut bstats = reach_sim::BlockCacheStats::default();
         for rep in 0..REPS {
-            let (mb, sb) = run_one(true);
-            let (mf, sf) = run_one(false);
-            // The two engines must be observationally identical — this
+            let (mb, sb) = run_one(false);
+            let (ms, ss) = run_one(true);
+            // The two tiers must be observationally identical — this
             // doubles as a differential canary on real workloads.
             assert_eq!(
-                mb.counters, mf.counters,
+                mb.counters, ms.counters,
                 "{}: engine counters diverge",
                 cell
             );
-            assert_eq!(mb.now, mf.now, "{}: engine clocks diverge", cell);
+            assert_eq!(mb.now, ms.now, "{}: engine clocks diverge", cell);
             if rep == 0 {
                 insts = mb.counters.instructions;
                 cycles = mb.now;
@@ -275,14 +281,14 @@ impl Experiment for SimPerf {
                 );
             }
             best_blocks = best_blocks.min(sb);
-            best_fast = best_fast.min(sf);
+            best_step = best_step.min(ss);
         }
         let mut out = CellMetrics::new();
         out.put_u64("sim_insts", insts)
             .put_u64("sim_cycles", cycles)
             .put_f64("sim_ips", insts as f64 / best_blocks)
-            .put_f64("fastpath_ips", insts as f64 / best_fast)
-            .put_f64("speedup_blocks", best_fast / best_blocks)
+            .put_f64("step_ips", insts as f64 / best_step)
+            .put_f64("speedup_blocks", best_step / best_blocks)
             .put_f64("host_ns_per_inst", best_blocks * 1e9 / insts as f64)
             .put_f64("host_ms", best_blocks * 1e3)
             .put_u64("blocks_compiled", bstats.compiled)

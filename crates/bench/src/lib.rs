@@ -1,6 +1,6 @@
 //! # reach-bench — experiment harnesses
 //!
-//! One `exp_*` binary per experiment in DESIGN.md §5 / EXPERIMENTS.md.
+//! One experiment per table or figure in DESIGN.md §5 / EXPERIMENTS.md.
 //! Every experiment is a library module in [`experiments`] implementing
 //! the [`Experiment`] trait: a named matrix of deterministic
 //! (workload × config) cells. The shared [`driver`] fans cells out
@@ -8,10 +8,10 @@
 //! key), renders the paper table, and writes one machine-readable
 //! `BENCH_<experiment>.json` per experiment (see [`report`]).
 //!
-//! The `exp_*` binaries are thin wrappers over
-//! [`driver::single_main`]; `exp_all` runs the whole registry
-//! in-process via [`driver::suite_main`]; `bench_diff` gates two BENCH
-//! runs against per-metric regression thresholds (see [`diff`]).
+//! `exp_all` runs the whole registry, or one experiment with
+//! `--only <name>`, in-process via [`driver::suite_main`]; `bench_diff`
+//! gates two BENCH runs against per-metric regression thresholds (see
+//! [`diff`]).
 //!
 //! Run the CI-sized tier with:
 //!

@@ -39,7 +39,7 @@
 
 use crate::chaos::build_is_trusted;
 use crate::degrade::{pgo_pipeline_degrading, Rung};
-use crate::journal::{fnv1a, project, Journal};
+use crate::journal::{project, Journal};
 use crate::metrics::percentile;
 use crate::pipeline::{lint_gate, verify_gate};
 use crate::supervisor::{
@@ -47,7 +47,7 @@ use crate::supervisor::{
     Incident, RecoverOptions, ServiceWorkload, SupervisorConfigError, SupervisorOptions,
 };
 use reach_profile::Json;
-use reach_sim::{Context, MultiCore, Program, SplitMix64};
+use reach_sim::{fnv1a, Context, MultiCore, Program, SplitMix64};
 use std::collections::VecDeque;
 
 /// One request entering the fleet: where it landed and which shard owns

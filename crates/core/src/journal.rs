@@ -37,7 +37,7 @@
 use crate::degrade::Rung;
 use crate::supervisor::BreakerState;
 use reach_profile::Profile;
-use reach_sim::{FaultInjector, Program};
+use reach_sim::{fnv1a, FaultInjector, Program};
 
 /// One durable supervisor decision, in write-ahead order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,15 +117,6 @@ fn breaker_decode(code: u64, until: u64) -> Option<BreakerState> {
         2 => Some(BreakerState::Open),
         _ => None,
     }
-}
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl JournalRecord {

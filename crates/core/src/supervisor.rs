@@ -51,7 +51,7 @@ use crate::journal::{project, Journal, JournalRecord, StoredBuild};
 use crate::metrics::percentile;
 use crate::pipeline::{lint_gate, verify_gate};
 use reach_profile::{Json, OnlineEstimatorOptions, OnlineStalenessEstimator, Profile};
-use reach_sim::{Context, HwEvent, Machine, PebsConfig, Program, SplitMix64};
+use reach_sim::{fnv1a, Context, HwEvent, Machine, PebsConfig, Program, SplitMix64};
 use std::collections::VecDeque;
 
 /// The binary currently serving traffic, with the metadata the
@@ -576,15 +576,6 @@ pub fn incidents_json(incidents: &[Incident]) -> String {
 /// FNV-1a digest of [`incidents_json`].
 pub fn incidents_hash(incidents: &[Incident]) -> u64 {
     fnv1a(incidents_json(incidents).as_bytes())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// How one rebuild attempt resolved.

@@ -1,12 +1,11 @@
-//! Superblock execution engine: the third (fastest) dispatch tier behind
-//! [`Machine::run`].
+//! Superblock execution engine: [`Machine::run`]'s uninstrumented route.
 //!
-//! The reference interpreter ([`Machine::step`]) and the fused fast path
-//! (`run_fast`) both pay per-instruction decode + match dispatch. This
-//! module follows the emulator playbook instead: micro-IR is pre-decoded
-//! into **superblocks** — packed, branch-terminated op buffers — and
-//! executed by a dispatch loop over per-op handler functions indexed by
-//! packed opcode. Inside a block, execution steps straight through the op
+//! The reference interpreter ([`Machine::step`]) pays per-instruction
+//! decode, match dispatch and hook checks. This module follows the
+//! emulator playbook instead: micro-IR is pre-decoded into
+//! **superblocks** — packed, branch-terminated op buffers — and executed
+//! by a dispatch loop over per-op handler functions indexed by packed
+//! opcode. Inside a block, execution steps straight through the op
 //! buffer; dispatch to a new block happens only at block exits.
 //!
 //! Three things make the blocks faster than per-instruction stepping:
@@ -17,16 +16,17 @@
 //! * **Static accounting.** Runs of clock-independent instructions
 //!   (Imm/Alu) have their busy-cycle and retirement accounting summed at
 //!   decode time and attached to the next clock-dependent op
-//!   (`pre_busy`/`pre_insts`), which applies it in one shot — the dynamic
-//!   equivalent of `run_fast`'s `Burst`, paid once per run instead of
-//!   once per instruction. This is exact, not approximate: a pure run can
-//!   neither exit nor observe the clock mid-way, so no intermediate state
-//!   is observable.
+//!   (`pre_busy`/`pre_insts`), which applies it in one shot. This is
+//!   exact, not approximate: a pure run can neither exit nor observe the
+//!   clock mid-way, so no intermediate state is observable.
 //! * **Superinstruction fusion.** A compare feeding the block's
 //!   terminating branch fuses into one op (`FusedCmpBranch`); a load
 //!   feeding a dependent ALU op fuses into `FusedLoadAlu`. Both apply the
 //!   effects and counters of *both* source instructions, so architectural
 //!   state and counters stay byte-identical.
+//!
+//! The clock-dependent rules — load attribution and stall, yield firing —
+//! are the [`Machine`] helpers `step` itself calls, so each has one home.
 //!
 //! Blocks are cached in a [`BlockCache`] keyed by *program identity*
 //! (instruction-vector pointer + length) and entry PC. Identity is not
@@ -38,14 +38,14 @@
 //! execution and panic on staleness, so a missing invalidation cannot
 //! silently serve stale code in tests.
 //!
-//! The engine is selected by [`Machine::run`] only when the machine is
-//! uninstrumented (no PEBS samplers, no trace, no fault injector) and
-//! [`Machine::blocks_enabled`] holds; the `prop_fastpath` differential
-//! suite drives all three tiers over random programs and asserts
-//! byte-identical exits, counters, registers, memory and LBR records.
+//! [`Machine::run`] selects the engine only when the machine is
+//! uninstrumented (no PEBS samplers, no trace, no fault injector); the
+//! `prop_fastpath` differential suite drives it against `step` over
+//! random programs and asserts byte-identical exits, counters, registers,
+//! memory and LBR records.
 
-use crate::cache::{AccessKind, Level};
-use crate::context::{Context, PendingLoad, Status, MAX_CALL_DEPTH};
+use crate::cache::AccessKind;
+use crate::context::{Context, Status, MAX_CALL_DEPTH};
 use crate::fxhash::FxHashMap;
 use crate::isa::{AluOp, Cond, Inst, Program, Reg, YieldKind};
 use crate::machine::{ExecError, Exit, Machine};
@@ -631,7 +631,7 @@ fn dispatch_op(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
 }
 
 /// Applies the busy/retirement accounting attached from the pure run
-/// preceding this op — the static analogue of `Burst::flush`.
+/// preceding this op.
 #[inline(always)]
 fn apply_pre(m: &mut Machine, ctx: &mut Context, op: &POp) {
     if op.pre_insts > 0 {
@@ -692,64 +692,30 @@ alu_handlers!(
     (h_alu_max, Max),
 );
 
-/// The load core shared by `h_load` and `h_fused_load_alu`: the exact
-/// miss-attribution, parking and retirement sequence of the reference
-/// interpreter's `Inst::Load` arm. `Err` carries an early exit (parked
-/// stall or memory error) with `ctx.pc` already repositioned.
+/// The load core shared by `h_load` and `h_fused_load_alu`: the
+/// reference interpreter's load timing ([`Machine::issue_load`] and
+/// [`Machine::finish_load`]) plus retirement. `Err` carries an early exit
+/// (parked stall or memory error) with `ctx.pc` already repositioned.
 #[inline(always)]
 fn do_load(m: &mut Machine, ctx: &mut Context, op: &POp) -> Result<(), Ctl> {
     let pc = op.pc as usize;
     let ea = ctx.regs[op.b as usize].wrapping_add_signed(op.off);
-    m.mem.host_prefetch(ea);
-    let access = m.hier.access(ea, m.now, AccessKind::DemandLoad);
-    let wait = access.ready.saturating_sub(m.now);
-    let stall = wait.saturating_sub(m.cfg.ooo_window);
-    let level = if access.merged_with_fill {
-        if stall == 0 {
-            Level::L1
-        } else if wait <= m.cfg.l3.hit_latency {
-            Level::L3
-        } else {
-            Level::Mem
+    let (_, stall, ready) = m.issue_load(pc, ea);
+    match m.finish_load(ctx, Reg(op.a), ea, stall, ready) {
+        Ok(None) => {
+            m.counters.instructions += 1;
+            ctx.stats.instructions += 1;
+            Ok(())
         }
-    } else {
-        access.level
-    };
-    m.counters.record_load(pc, level, stall);
-
-    if stall > 0 && m.switch_on_stall {
-        let value = match m.mem.read_hot(ea) {
-            Ok(v) => v,
-            Err(e) => {
-                ctx.pc = pc;
-                return Err(Ctl::Err(e.into()));
-            }
-        };
-        ctx.pending_load = Some(PendingLoad {
-            dst: Reg(op.a),
-            value,
-            ready: access.ready,
-        });
-        ctx.pc = pc;
-        return Err(Ctl::Exit(Exit::Stalled {
-            ready: access.ready,
-        }));
-    }
-
-    let value = match m.mem.read_hot(ea) {
-        Ok(v) => v,
+        Ok(Some(exit)) => {
+            ctx.pc = pc;
+            Err(Ctl::Exit(exit))
+        }
         Err(e) => {
             ctx.pc = pc;
-            return Err(Ctl::Err(e.into()));
+            Err(Ctl::Err(e.into()))
         }
-    };
-    ctx.regs[op.a as usize] = value;
-    m.busy(1);
-    m.now += stall;
-    m.counters.stall_cycles += stall;
-    m.counters.instructions += 1;
-    ctx.stats.instructions += 1;
-    Ok(())
+    }
 }
 
 #[inline(always)]
@@ -816,32 +782,13 @@ fn h_yield(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
     apply_pre(m, ctx, op);
     let pc = op.pc as usize;
     ctx.pc = pc + 1;
-    let kind = op.ykind;
-    let fires = match kind {
-        YieldKind::Primary | YieldKind::Manual => true,
-        YieldKind::Scavenger => {
-            m.now += m.cfg.cond_check_cost;
-            m.counters.check_cycles += m.cfg.cond_check_cost;
-            ctx.mode == crate::context::Mode::Scavenger
-        }
-        YieldKind::IfAbsent => {
-            m.now += m.cfg.cond_check_cost;
-            m.counters.check_cycles += m.cfg.cond_check_cost;
-            matches!(ctx.last_prefetch_level, Some(Level::L3) | Some(Level::Mem))
-        }
-    };
-    m.counters.instructions += 1;
-    ctx.stats.instructions += 1;
-    if fires {
-        m.counters.yields_fired += 1;
-        ctx.stats.yields_taken += 1;
+    if m.retire_yield(ctx, op.ykind) {
         return Ctl::Exit(Exit::Yielded {
             pc,
-            kind,
+            kind: op.ykind,
             save_regs: op.has_save.then_some(op.aux as u32),
         });
     }
-    m.counters.yields_suppressed += 1;
     Ctl::Next
 }
 
@@ -957,16 +904,15 @@ fn h_fallthrough(m: &mut Machine, ctx: &mut Context, op: &POp) -> Ctl {
 }
 
 impl Machine {
-    /// The superblock dispatch loop behind [`Machine::run`]'s third
-    /// tier. The cache is handed in by the caller (taken out of the
-    /// machine for the duration of the run, so handlers borrow the
-    /// machine freely).
+    /// The superblock dispatch loop behind [`Machine::run`]'s
+    /// uninstrumented route. The cache is handed in by the caller (taken
+    /// out of the machine for the duration of the run, so handlers borrow
+    /// the machine freely).
     ///
     /// Exactness contract: identical exits, clock, counters, registers,
-    /// memory and LBR to `run_fast`/`step` on every program. A block
+    /// memory and LBR to [`Machine::step`] on every program. A block
     /// whose full retirement would overshoot the step budget is not
-    /// entered; the tail is delegated to `run_fast`, which steps it
-    /// instruction-exactly.
+    /// entered; its tail runs through `step` itself.
     pub(crate) fn run_blocks(
         &mut self,
         cache: &mut BlockCache,
@@ -1020,8 +966,9 @@ impl Machine {
                 pc,
             );
             if block.insts_total > remaining {
-                // Partial block: step the tail instruction-exactly.
-                return self.run_fast(prog, ctx, remaining);
+                // Partial block: step the tail through the reference
+                // interpreter, so the budget ends on the same instruction.
+                return self.run_steps(prog, ctx, remaining);
             }
             let insts = block.insts_total;
             match self.exec_block(ctx, block)? {
@@ -1130,17 +1077,26 @@ mod tests {
         assert!(m.block_cache.stats.compiled >= 2, "split into ≥2 blocks");
     }
 
+    /// A machine that runs the block engine, or — with a passive trace
+    /// attached — the `step` reference.
+    fn machine(reference: bool) -> Machine {
+        let mut m = Machine::new(MachineConfig::default());
+        if reference {
+            m.trace = Some(crate::trace::Trace::new(1));
+        }
+        m
+    }
+
     #[test]
-    fn engine_matches_fast_path_on_a_loop() {
+    fn engine_matches_step_reference_on_a_loop() {
         let p = counted_loop(500);
-        let run = |blocks: bool| {
-            let mut m = Machine::new(MachineConfig::default());
-            m.blocks_enabled = blocks;
+        let run = |reference: bool| {
+            let mut m = machine(reference);
             let mut ctx = Context::new(0);
             let exit = m.run(&p, &mut ctx, 1 << 20).unwrap();
             (exit, m.now, m.counters.clone(), ctx.regs)
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -1231,9 +1187,8 @@ mod tests {
     #[test]
     fn sub_block_step_budgets_delegate_exactly() {
         let p = counted_loop(50);
-        let drive = |blocks: bool, chunk: u64| {
-            let mut m = Machine::new(MachineConfig::default());
-            m.blocks_enabled = blocks;
+        let drive = |reference: bool, chunk: u64| {
+            let mut m = machine(reference);
             let mut ctx = Context::new(0);
             let mut exits = Vec::new();
             for _ in 0..100_000 {
@@ -1246,7 +1201,7 @@ mod tests {
             (exits, m.now, m.counters.clone(), ctx.regs)
         };
         for chunk in [1, 2, 3, 5, 7, 19] {
-            assert_eq!(drive(true, chunk), drive(false, chunk), "chunk {chunk}");
+            assert_eq!(drive(false, chunk), drive(true, chunk), "chunk {chunk}");
         }
     }
 }

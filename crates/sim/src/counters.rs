@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn per_pc_equality_ignores_table_capacity() {
         // A reference stepping loop grows the table lazily per touched
-        // PC; the fast path pre-grows to the program length. Both must
+        // PC; the block engine pre-grows to the program length. Both must
         // compare equal when they recorded the same loads.
         let mut lazy = PerfCounters::new();
         lazy.record_load(3, Level::Mem, 7);

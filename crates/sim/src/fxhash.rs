@@ -83,6 +83,19 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed by the fast deterministic hasher.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
+/// 64-bit FNV-1a over `bytes`: the stable digest behind program
+/// fingerprints, journal record checksums, incident/fleet log hashes and
+/// per-cell experiment seeds. Unlike [`FxHasher`] it is a fixed, published
+/// function, so digests stay comparable across builds and hosts.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +137,13 @@ mod tests {
         let mut b = FxHasher::default();
         b.write_u64(42);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn fnv1a_matches_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -456,20 +456,12 @@ impl Program {
     /// (provenance check). The name is deliberately excluded: renaming a
     /// program does not invalidate its profile, editing its code does.
     pub fn fingerprint(&self) -> u64 {
-        fn eat(mut h: u64, bytes: &[u8]) -> u64 {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
-        }
-        let mut h = eat(
-            0xCBF2_9CE4_8422_2325,
-            &(self.insts.len() as u64).to_le_bytes(),
-        );
+        use std::io::Write as _;
+        let mut bytes = (self.insts.len() as u64).to_le_bytes().to_vec();
         for inst in &self.insts {
-            h = eat(h, format!("{inst:?}").as_bytes());
+            write!(bytes, "{inst:?}").expect("writing to a Vec cannot fail");
         }
-        h
+        crate::fxhash::fnv1a(&bytes)
     }
 
     /// Checks structural well-formedness: non-empty, all branch/call

@@ -89,7 +89,7 @@ pub use config::{CacheLevelConfig, MachineConfig};
 pub use context::{Context, ContextStats, Mode, Status};
 pub use counters::{PcStats, PerPcTable, PerfCounters};
 pub use faults::{FaultInjector, FaultLog, FaultPlan};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
+pub use fxhash::{fnv1a, FxBuildHasher, FxHashMap, FxHasher};
 pub use isa::{AluOp, Cond, Inst, Program, ProgramBuilder, ProgramError, Reg, YieldKind};
 pub use lbr::{BranchRecord, Lbr, StraightRun};
 pub use machine::{ExecError, Exit, Machine, SwitchKind};

@@ -15,7 +15,7 @@ use crate::config::MachineConfig;
 use crate::context::{Context, Mode, PendingLoad, Status, MAX_CALL_DEPTH};
 use crate::counters::PerfCounters;
 use crate::faults::FaultInjector;
-use crate::isa::{Inst, Program, YieldKind, NUM_REGS};
+use crate::isa::{Inst, Program, Reg, YieldKind, NUM_REGS};
 use crate::lbr::Lbr;
 use crate::mem::{MemError, Memory};
 use crate::pebs::{HwEvent, PebsConfig, PebsSampler, Sample};
@@ -111,30 +111,6 @@ impl From<MemError> for ExecError {
     }
 }
 
-/// Busy-cycle/retirement accumulator for the fused fast path: runs of
-/// clock-independent instructions (Imm/Alu/Branch/Call/Ret) batch their
-/// accounting here and flush it before anything that reads the clock.
-#[derive(Default)]
-struct Burst {
-    busy: u64,
-    insts: u64,
-}
-
-impl Burst {
-    /// Applies and clears the accumulated accounting.
-    #[inline]
-    fn flush(&mut self, m: &mut Machine, ctx: &mut Context) {
-        if self.insts > 0 {
-            m.now += self.busy;
-            m.counters.busy_cycles += self.busy;
-            m.counters.instructions += self.insts;
-            ctx.stats.instructions += self.insts;
-            self.busy = 0;
-            self.insts = 0;
-        }
-    }
-}
-
 /// The simulated core plus its memory system, clock, counters and PMU.
 #[derive(Clone, Debug)]
 pub struct Machine {
@@ -168,10 +144,6 @@ pub struct Machine {
     /// [`crate::blocks`]). Keyed by program identity; must be invalidated
     /// via [`Machine::invalidate_blocks`] on any code-map change.
     pub block_cache: BlockCache,
-    /// Whether the uninstrumented tier uses the superblock engine
-    /// (default) or the per-instruction fused fast path. Disable to A/B
-    /// the dispatch mechanisms; simulated state is identical either way.
-    pub blocks_enabled: bool,
 }
 
 impl Machine {
@@ -195,7 +167,6 @@ impl Machine {
             trace: None,
             faults: None,
             block_cache: BlockCache::default(),
-            blocks_enabled: true,
         }
     }
 
@@ -315,6 +286,94 @@ impl Machine {
         }
     }
 
+    /// Issues the demand load of the instruction at `pc` to address `ea`
+    /// and records it in the ground-truth counters. Returns the level it
+    /// is attributed to, its visible stall (the wait beyond the OoO
+    /// window) and the cycle its data arrives.
+    ///
+    /// A load that merges with an in-flight fill is a fill-buffer hit,
+    /// not a miss (Intel: MEM_LOAD_RETIRED.FB_HIT): it is attributed by
+    /// its *visible* wait, not by the original fill's origin level.
+    #[inline(always)]
+    pub(crate) fn issue_load(&mut self, pc: usize, ea: u64) -> (Level, u64, u64) {
+        // Host-side overlap: fetch the backing word behind the hierarchy
+        // walk (no simulated effect).
+        self.mem.host_prefetch(ea);
+        let access = self.hier.access(ea, self.now, AccessKind::DemandLoad);
+        let wait = access.ready.saturating_sub(self.now);
+        let stall = wait.saturating_sub(self.cfg.ooo_window);
+        let level = if access.merged_with_fill {
+            if stall == 0 {
+                Level::L1
+            } else if wait <= self.cfg.l3.hit_latency {
+                Level::L3
+            } else {
+                Level::Mem
+            }
+        } else {
+            access.level
+        };
+        self.counters.record_load(pc, level, stall);
+        (level, stall, access.ready)
+    }
+
+    /// Completes a load issued by [`Machine::issue_load`]. In
+    /// switch-on-stall mode a stalling load parks in `ctx` and returns
+    /// [`Exit::Stalled`]; otherwise the value lands in `dst` and the
+    /// blocking core loses the visible stall. Neither moves the PC nor
+    /// counts the retirement: that is the caller's.
+    #[inline(always)]
+    pub(crate) fn finish_load(
+        &mut self,
+        ctx: &mut Context,
+        dst: Reg,
+        ea: u64,
+        stall: u64,
+        ready: u64,
+    ) -> Result<Option<Exit>, MemError> {
+        let value = self.mem.read_hot(ea)?;
+        if stall > 0 && self.switch_on_stall {
+            ctx.pending_load = Some(PendingLoad { dst, value, ready });
+            return Ok(Some(Exit::Stalled { ready }));
+        }
+        ctx.set_reg(dst, value);
+        self.busy(1);
+        self.now += stall;
+        self.counters.stall_cycles += stall;
+        Ok(None)
+    }
+
+    /// Retires a yield of `kind` in `ctx` and returns whether it fires.
+    /// Primary and manual yields always fire. The conditional kinds pay
+    /// the condition check whether or not they fire: a scavenger yield
+    /// fires only in a scavenger-mode context, an if-absent yield only
+    /// after a prefetch that missed to L3 or memory.
+    #[inline(always)]
+    pub(crate) fn retire_yield(&mut self, ctx: &mut Context, kind: YieldKind) -> bool {
+        let fires = match kind {
+            YieldKind::Primary | YieldKind::Manual => true,
+            YieldKind::Scavenger => {
+                self.now += self.cfg.cond_check_cost;
+                self.counters.check_cycles += self.cfg.cond_check_cost;
+                ctx.mode == Mode::Scavenger
+            }
+            YieldKind::IfAbsent => {
+                self.now += self.cfg.cond_check_cost;
+                self.counters.check_cycles += self.cfg.cond_check_cost;
+                matches!(ctx.last_prefetch_level, Some(Level::L3) | Some(Level::Mem))
+            }
+        };
+        self.counters.instructions += 1;
+        ctx.stats.instructions += 1;
+        if fires {
+            self.counters.yields_fired += 1;
+            ctx.stats.yields_taken += 1;
+        } else {
+            self.counters.yields_suppressed += 1;
+        }
+        fires
+    }
+
     /// Executes exactly one instruction of `prog` in `ctx`.
     ///
     /// Returns `Ok(Some(exit))` when control must return to the executor
@@ -361,30 +420,9 @@ impl Machine {
             }
             Inst::Load { dst, addr, offset } => {
                 let ea = ctx.reg(addr).wrapping_add_signed(offset);
-                // Host-side overlap: fetch the backing word behind the
-                // hierarchy walk (no simulated effect).
-                self.mem.host_prefetch(ea);
-                let access = self.hier.access(ea, self.now, AccessKind::DemandLoad);
-                let wait = access.ready.saturating_sub(self.now);
-                let stall = wait.saturating_sub(self.cfg.ooo_window);
-                // A load that merges with an in-flight fill is a
-                // fill-buffer hit, not a miss (Intel: MEM_LOAD_RETIRED.
-                // FB_HIT): attribute it by its *visible* wait, not by the
-                // original fill's origin level.
-                let level = if access.merged_with_fill {
-                    if stall == 0 {
-                        Level::L1
-                    } else if wait <= self.cfg.l3.hit_latency {
-                        Level::L3
-                    } else {
-                        Level::Mem
-                    }
-                } else {
-                    access.level
-                };
-                // Ground truth + PMU events are recorded at miss time: that
-                // is when the hardware counter overflows.
-                self.counters.record_load(pc, level, stall);
+                let (level, stall, ready) = self.issue_load(pc, ea);
+                // PMU events fire at miss time: that is when the hardware
+                // counter overflows.
                 match level {
                     Level::L3 | Level::Mem => {
                         self.fire_event(HwEvent::LoadL2Miss, pc, Some(ea), 1);
@@ -395,27 +433,10 @@ impl Machine {
                     Level::L1 | Level::L2 => {}
                 }
                 self.fire_event(HwEvent::StallCycle, pc, Some(ea), stall);
-
-                if stall > 0 && self.switch_on_stall {
-                    // Park the load; it completes transparently on resume.
-                    let value = self.mem.read_hot(ea)?;
-                    ctx.pending_load = Some(PendingLoad {
-                        dst,
-                        value,
-                        ready: access.ready,
-                    });
-                    return Ok(Some(Exit::Stalled {
-                        ready: access.ready,
-                    }));
+                if let Some(exit) = self.finish_load(ctx, dst, ea, stall, ready)? {
+                    return Ok(Some(exit));
                 }
-
-                let value = self.mem.read_hot(ea)?;
-                ctx.set_reg(dst, value);
                 ctx.pc += 1;
-                self.busy(1);
-                // Blocking core: the stall is really lost.
-                self.now += stall;
-                self.counters.stall_cycles += stall;
             }
             Inst::Store { src, addr, offset } => {
                 let ea = ctx.reg(addr).wrapping_add_signed(offset);
@@ -471,31 +492,13 @@ impl Machine {
             }
             Inst::Yield { kind, save_regs } => {
                 ctx.pc += 1;
-                let fires = match kind {
-                    YieldKind::Primary | YieldKind::Manual => true,
-                    YieldKind::Scavenger => {
-                        self.now += self.cfg.cond_check_cost;
-                        self.counters.check_cycles += self.cfg.cond_check_cost;
-                        ctx.mode == Mode::Scavenger
-                    }
-                    YieldKind::IfAbsent => {
-                        self.now += self.cfg.cond_check_cost;
-                        self.counters.check_cycles += self.cfg.cond_check_cost;
-                        matches!(ctx.last_prefetch_level, Some(Level::L3) | Some(Level::Mem))
-                    }
-                };
-                self.counters.instructions += 1;
-                ctx.stats.instructions += 1;
-                if fires {
-                    self.counters.yields_fired += 1;
-                    ctx.stats.yields_taken += 1;
+                if self.retire_yield(ctx, kind) {
                     return Ok(Some(Exit::Yielded {
                         pc,
                         kind,
                         save_regs,
                     }));
                 }
-                self.counters.yields_suppressed += 1;
                 return Ok(None);
             }
             Inst::Halt => {
@@ -513,11 +516,11 @@ impl Machine {
     }
 
     /// True when nothing observes individual instructions: no PEBS
-    /// samplers, no execution trace, no fault injector. This is the
-    /// dispatch mask for [`Machine::run`]'s fused fast path — the common
-    /// bench configuration. The LBR is deliberately *not* part of the
-    /// mask: it only observes taken control transfers, which the fast
-    /// path executes at flushed (exact) clock values.
+    /// samplers, no execution trace, no fault injector. Only then may
+    /// [`Machine::run`] take the superblock engine, which has no
+    /// per-instruction hooks. The LBR is deliberately not part of the
+    /// test: it only observes taken control transfers, which blocks
+    /// execute at exact clock values.
     #[inline]
     fn uninstrumented(&self) -> bool {
         self.samplers.is_empty() && self.trace.is_none() && self.faults.is_none()
@@ -526,13 +529,12 @@ impl Machine {
     /// Runs `ctx` until a yield fires, it stalls (switch-on-stall mode),
     /// it halts, or `max_steps` instructions have retired.
     ///
-    /// Cycle-exact regardless of route. Dispatch is three-tiered: when
-    /// the machine is uninstrumented this selects the superblock engine
-    /// ([`crate::blocks`], the default) or the per-instruction fused
-    /// fast path (when [`Machine::blocks_enabled`] is off); otherwise it
-    /// is a plain loop over [`Machine::step`]. All three produce
+    /// Cycle-exact regardless of route. There are two: an uninstrumented
+    /// machine runs the superblock engine ([`crate::blocks`]); any
+    /// sampler, trace or fault injector selects a plain loop over
+    /// [`Machine::step`], which every hook observes. Both produce
     /// identical counters, registers, clock and exits (enforced by
-    /// differential proptests).
+    /// differential proptests with `step` as the reference).
     pub fn run(
         &mut self,
         prog: &Program,
@@ -540,256 +542,31 @@ impl Machine {
         max_steps: u64,
     ) -> Result<Exit, ExecError> {
         if self.uninstrumented() {
-            if self.blocks_enabled {
-                // Move the cache out for the duration of the run so the
-                // dispatch loop can borrow blocks while handlers borrow
-                // the machine mutably.
-                let mut cache = std::mem::take(&mut self.block_cache);
-                let r = self.run_blocks(&mut cache, prog, ctx, max_steps);
-                self.block_cache = cache;
-                return r;
-            }
-            return self.run_fast(prog, ctx, max_steps);
+            // Move the cache out for the duration of the run so the
+            // dispatch loop can borrow blocks while handlers borrow the
+            // machine mutably.
+            let mut cache = std::mem::take(&mut self.block_cache);
+            let r = self.run_blocks(&mut cache, prog, ctx, max_steps);
+            self.block_cache = cache;
+            return r;
         }
+        self.run_steps(prog, ctx, max_steps)
+    }
+
+    /// Calls [`Machine::step`] until it exits or `max_steps` instructions
+    /// have executed.
+    pub(crate) fn run_steps(
+        &mut self,
+        prog: &Program,
+        ctx: &mut Context,
+        max_steps: u64,
+    ) -> Result<Exit, ExecError> {
         for _ in 0..max_steps {
             if let Some(exit) = self.step(prog, ctx)? {
                 return Ok(exit);
             }
         }
         Ok(Exit::StepLimit)
-    }
-
-    /// The fused stepping loop behind [`Machine::run`]'s fast path.
-    ///
-    /// Preconditions hoisted out of the per-instruction loop (each is
-    /// exact, not approximate — see the inline notes):
-    ///
-    /// * `status`/`started_at` are checked once: within a run, a status
-    ///   change always returns immediately, so re-checking per step is
-    ///   redundant;
-    /// * `complete_pending` runs once in the prologue: a parked load can
-    ///   only exist at run entry (parking one exits the run);
-    /// * the per-PC table is pre-grown to the program length so the
-    ///   per-load path indexes without a bounds-growth check;
-    /// * sampler/trace/fault hooks are skipped entirely — the dispatch
-    ///   mask guarantees every one of them is a no-op.
-    ///
-    /// Runs of Imm/Alu/Branch/Call/Ret (instructions that never read the
-    /// clock) accumulate `busy` cycles and retirement counts in locals,
-    /// flushed to `self.now`/counters before anything clock-dependent
-    /// executes: loads, stores, prefetches, yields, halt, LBR records,
-    /// and every error return. At each of those points the machine state
-    /// is bit-identical to what the step-by-step route produces.
-    pub(crate) fn run_fast(
-        &mut self,
-        prog: &Program,
-        ctx: &mut Context,
-        max_steps: u64,
-    ) -> Result<Exit, ExecError> {
-        if max_steps == 0 {
-            // The slow loop's body never runs: no status check, no error.
-            return Ok(Exit::StepLimit);
-        }
-        if ctx.status != Status::Runnable {
-            return Err(ExecError::NotRunnable);
-        }
-        if ctx.stats.started_at.is_none() {
-            ctx.stats.started_at = Some(self.now);
-        }
-        self.counters.per_pc.grow_to(prog.insts.len());
-        self.complete_pending(ctx);
-
-        let mut burst = Burst::default();
-        macro_rules! flush {
-            () => {
-                burst.flush(&mut *self, ctx)
-            };
-        }
-
-        let mut remaining = max_steps;
-        loop {
-            if remaining == 0 {
-                flush!();
-                return Ok(Exit::StepLimit);
-            }
-            remaining -= 1;
-
-            let pc = ctx.pc;
-            let Some(inst) = prog.insts.get(pc) else {
-                flush!();
-                return Err(ExecError::BadPc { pc });
-            };
-            match *inst {
-                Inst::Imm { dst, val } => {
-                    ctx.set_reg(dst, val);
-                    ctx.pc = pc + 1;
-                    burst.busy += 1;
-                    burst.insts += 1;
-                }
-                Inst::Alu {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                    lat,
-                } => {
-                    let v = op.eval(ctx.reg(src1), ctx.reg(src2));
-                    ctx.set_reg(dst, v);
-                    ctx.pc = pc + 1;
-                    burst.busy += lat as u64;
-                    burst.insts += 1;
-                }
-                Inst::Branch { cond, src, target } => {
-                    self.counters.branches += 1;
-                    let taken = cond.eval(ctx.reg(src));
-                    burst.busy += 1;
-                    burst.insts += 1;
-                    if taken {
-                        if self.lbr_enabled {
-                            // The LBR stamps self.now: flush so the
-                            // record carries the exact post-busy clock.
-                            flush!();
-                            self.record_branch(pc, target);
-                        }
-                        ctx.pc = target;
-                    } else {
-                        ctx.pc = pc + 1;
-                    }
-                }
-                Inst::Call { target } => {
-                    if ctx.call_stack.len() >= MAX_CALL_DEPTH {
-                        flush!();
-                        ctx.status = Status::Faulted;
-                        return Err(ExecError::CallDepth { pc });
-                    }
-                    ctx.call_stack.push(pc + 1);
-                    burst.busy += 2;
-                    burst.insts += 1;
-                    if self.lbr_enabled {
-                        flush!();
-                        self.record_branch(pc, target);
-                    }
-                    ctx.pc = target;
-                }
-                Inst::Ret => {
-                    let Some(ret) = ctx.call_stack.pop() else {
-                        flush!();
-                        ctx.status = Status::Faulted;
-                        return Err(ExecError::RetEmptyStack { pc });
-                    };
-                    burst.busy += 2;
-                    burst.insts += 1;
-                    if self.lbr_enabled {
-                        flush!();
-                        self.record_branch(pc, ret);
-                    }
-                    ctx.pc = ret;
-                }
-                Inst::Load { dst, addr, offset } => {
-                    // The hierarchy timestamps accesses: flush first.
-                    flush!();
-                    let ea = ctx.reg(addr).wrapping_add_signed(offset);
-                    // Host-side overlap: fetch the backing word behind
-                    // the hierarchy walk (no simulated effect).
-                    self.mem.host_prefetch(ea);
-                    let access = self.hier.access(ea, self.now, AccessKind::DemandLoad);
-                    let wait = access.ready.saturating_sub(self.now);
-                    let stall = wait.saturating_sub(self.cfg.ooo_window);
-                    let level = if access.merged_with_fill {
-                        if stall == 0 {
-                            Level::L1
-                        } else if wait <= self.cfg.l3.hit_latency {
-                            Level::L3
-                        } else {
-                            Level::Mem
-                        }
-                    } else {
-                        access.level
-                    };
-                    self.counters.record_load(pc, level, stall);
-
-                    if stall > 0 && self.switch_on_stall {
-                        let value = self.mem.read_hot(ea)?;
-                        ctx.pending_load = Some(PendingLoad {
-                            dst,
-                            value,
-                            ready: access.ready,
-                        });
-                        return Ok(Exit::Stalled {
-                            ready: access.ready,
-                        });
-                    }
-
-                    let value = self.mem.read_hot(ea)?;
-                    ctx.set_reg(dst, value);
-                    ctx.pc = pc + 1;
-                    self.busy(1);
-                    self.now += stall;
-                    self.counters.stall_cycles += stall;
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                }
-                Inst::Store { src, addr, offset } => {
-                    flush!();
-                    let ea = ctx.reg(addr).wrapping_add_signed(offset);
-                    let _ = self.hier.access(ea, self.now, AccessKind::Store);
-                    self.mem.write_hot(ea, ctx.reg(src))?;
-                    ctx.pc = pc + 1;
-                    self.busy(1);
-                    self.counters.stores += 1;
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                }
-                Inst::Prefetch { addr, offset } => {
-                    flush!();
-                    let ea = ctx.reg(addr).wrapping_add_signed(offset);
-                    let access = self.hier.access(ea, self.now, AccessKind::Prefetch);
-                    ctx.last_prefetch_level = Some(access.level);
-                    ctx.pc = pc + 1;
-                    self.busy(self.cfg.prefetch_cost);
-                    self.counters.prefetches += 1;
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                }
-                Inst::Yield { kind, save_regs } => {
-                    flush!();
-                    ctx.pc = pc + 1;
-                    let fires = match kind {
-                        YieldKind::Primary | YieldKind::Manual => true,
-                        YieldKind::Scavenger => {
-                            self.now += self.cfg.cond_check_cost;
-                            self.counters.check_cycles += self.cfg.cond_check_cost;
-                            ctx.mode == Mode::Scavenger
-                        }
-                        YieldKind::IfAbsent => {
-                            self.now += self.cfg.cond_check_cost;
-                            self.counters.check_cycles += self.cfg.cond_check_cost;
-                            matches!(ctx.last_prefetch_level, Some(Level::L3) | Some(Level::Mem))
-                        }
-                    };
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                    if fires {
-                        self.counters.yields_fired += 1;
-                        ctx.stats.yields_taken += 1;
-                        return Ok(Exit::Yielded {
-                            pc,
-                            kind,
-                            save_regs,
-                        });
-                    }
-                    self.counters.yields_suppressed += 1;
-                }
-                Inst::Halt => {
-                    flush!();
-                    ctx.status = Status::Done;
-                    ctx.stats.finished_at = Some(self.now);
-                    self.counters.instructions += 1;
-                    ctx.stats.instructions += 1;
-                    return Ok(Exit::Done);
-                }
-            }
-        }
     }
 
     /// Runs a single context to completion, treating fired yields as
